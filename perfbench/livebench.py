@@ -7,11 +7,10 @@ TcpTransport` (one connection per replica) shared by all logical clients,
 no threads.  The seed generates the key and operation sequence; the
 cluster receives only the operations.
 
-Open loop (``live-kv-800``) issues operation *i* at ``start + i / rate``
-and times it from that due time, so a stalled generator or cluster charges
+The load is an open loop: operation *i* is issued at ``start + i / rate``
+and timed from that due time, so a stalled generator or cluster charges
 the wait to every operation behind it; the generator's own lateness is
-reported.  Closed loop (``live-kv-overload``) keeps a fixed number of puts
-in flight per client and times each from its submission.
+reported.
 
 After the window every run checks its outputs from the replicas' files:
 the durable logs agree on every shared position, every acknowledged
@@ -56,14 +55,8 @@ from spans import percentile
 
 #: Open-loop warm-up before the window opens (connections, first epochs).
 WARMUP_S = 2.0
-#: Closed loop: the slots start spread over the ramp, so their retry
-#: timers are not all in phase; the window opens after the warm-up.
-CLOSED_RAMP_S = 2.0
-CLOSED_WARMUP_S = 5.0
 #: An open-loop operation not acknowledged within this fails.
 OPEN_TIMEOUT_S = 5.0
-#: A closed-loop operation is abandoned (failed) only after this long.
-CLOSED_TIMEOUT_S = 60.0
 #: Distinct keys; small enough that keys are overwritten and read back.
 KEY_SPACE = 512
 #: Keys read back with a final confirmed get, and how long each may take.
@@ -223,10 +216,7 @@ class LoadGenerator:
             for cid in range(W.LIVE_CLIENTS)
         ]
         try:
-            if self.workload.rate > 0:
-                await self._open_loop()
-            else:
-                await self._closed_loop()
+            await self._open_loop()
         finally:
             self.result.retries = sum(c.client.requests_retried for c in self.clients)
             self.result.submitted = sum(c.client.requests_submitted for c in self.clients)
@@ -300,49 +290,6 @@ class LoadGenerator:
         await asyncio.gather(*tasks)
         if loop.time() < window_end:
             await asyncio.sleep(window_end - loop.time())
-
-    async def _closed_loop(self) -> None:
-        loop, result = self.loop, self.result
-        stopping = False
-        window = [float("inf"), float("inf")]
-
-        async def slot(client: int, delay: float) -> None:
-            await asyncio.sleep(delay)
-            while not stopping:
-                op = next(self._ops)
-                op.client = client
-                submitted = loop.time()
-                try:
-                    await self._execute(op, CLOSED_TIMEOUT_S)
-                except asyncio.TimeoutError:
-                    if window[0] <= loop.time() < window[1]:
-                        result.failed += 1
-                        result.attempted += 1
-                        result.latencies.append(CLOSED_TIMEOUT_S)
-                    continue
-                done = loop.time()
-                if window[0] <= done < window[1]:
-                    result.completed_in_window += 1
-                    result.attempted += 1
-                    result.latencies.append(done - submitted)
-
-        slots = W.LIVE_CLIENTS * self.workload.in_flight_per_client
-        tasks = [
-            loop.create_task(slot(index % W.LIVE_CLIENTS, index * CLOSED_RAMP_S / slots))
-            for index in range(slots)
-        ]
-        await asyncio.sleep(CLOSED_WARMUP_S)
-        window[0] = loop.time()
-        window[1] = window[0] + self.seconds
-        self._open_window()
-        await asyncio.sleep(self.seconds)
-        self._close_window()
-        stopping = True
-        # Operations still in flight are not counted: the closed loop only
-        # measures what completed (or timed out) inside the window.
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _final_gets(self, clock: WallClock, key_store: KeyStore) -> None:
         """Read back sampled keys through a fresh connection and client id."""

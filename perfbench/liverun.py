@@ -1,4 +1,4 @@
-"""``live-kv-800`` and ``live-kv-overload``: the real cluster.
+"""``live-kv-800``: the real cluster.
 
 Untraced, a run boots the cluster :data:`SETUPS` times (set-up is the
 median boot time; the last cluster is the measured one), drives the
@@ -11,8 +11,7 @@ are compared with.
 
 Traced, it measures the workload twice, on a plain cluster and then on one
 whose replicas run with every layer wrapped; node CPU per acknowledged op
-of the two gives ``trace.overhead_ratio``.  On ``live-kv-800`` the traced
-cluster then loses one replica to ``kill -9`` and the restart is timed
+of the two gives ``trace.overhead_ratio``.  The traced cluster then loses one replica to ``kill -9`` and the restart is timed
 (the recovery tail).
 """
 
@@ -33,7 +32,7 @@ from simbench import CheckFailed
 from spans import SpanTable, merge_snapshots, percentile
 
 #: Cluster boots timed as set-up in one untraced run.
-SETUPS = 3
+SETUPS = 5
 #: Simulator reference repetitions in one run.
 REFERENCE_REPS = 3
 
@@ -125,10 +124,7 @@ def run(workload, seed: int, seconds: int, traced: bool, run_dir: str) -> Dict[s
 
 def _traced(workload, seed, seconds, run_dir, reference) -> Dict[str, object]:
     plain = _phase(workload, seed, seconds, os.path.join(run_dir, "plain"), False)
-    traced = _phase(
-        workload, seed, seconds, os.path.join(run_dir, "traced"), True,
-        tail=workload.name == "live-kv-800",
-    )
+    traced = _phase(workload, seed, seconds, os.path.join(run_dir, "traced"), True, tail=True)
     load = traced.load
     ops = max(1, load.completed_in_window)
     spans = merge_snapshots([c["window"]["spans"] for c in traced.counters] + [traced.loadgen_spans])

@@ -2,9 +2,10 @@
 
 :func:`node_entry` is the ``multiprocessing`` target the benchmark's
 cluster spawns in place of :func:`repro.net.host.node_main`.  Traced, it
-installs the layer wrappers (and an event-loop lag probe) before calling
-``node_main``, so every object the replica builds uses them.  Untraced it
-calls ``node_main`` unchanged.
+installs the layer wrappers (and an event-loop lag probe) and keeps a
+reference to the node, transport and storage it builds, for their totals,
+before calling ``node_main``.  Untraced it calls ``node_main`` unchanged and
+reports only the process's CPU time and peak RSS.
 
 The parent marks the measurement window with signals: SIGUSR1 opens it
 (counters reset, CPU and transport/WAL totals noted) and SIGUSR2 closes it
@@ -105,8 +106,8 @@ def node_entry(spec, node_id: int, counters_path: str, traced: bool) -> None:
     """Run one replica until SIGTERM, then write its counters file."""
     table = SpanTable() if traced else None
     counters = NodeCounters(table, counters_path)
-    _capture_instances(counters.registry)
     if table is not None:
+        _capture_instances(counters.registry)
         install_protocol(table, time.monotonic)
         install_node(table)
         # The host builds its WallClock first thing on the running loop.

@@ -7,12 +7,13 @@ Usage (from the repository root)::
 
 ``--trace 0`` measures the end-to-end metrics with nothing instrumented;
 ``--trace 1`` repeats the run with timing wrappers on every layer and
-prints the per-layer metrics instead (see ``layers.PER_LAYER`` for what
+prints the per-layer metrics instead (see ``layers.SHOULD_MOVE`` for what
 each should move, on which workload).  Every run checks its outputs and
 exits non-zero without printing metrics when a check fails.  The last line
 of standard output is ``{"correct", "attempted", "failed", "metrics"}``.
 
-The workloads and why they exist are in ``workloads.py``.
+The workloads and why they exist are declared in ``BENCHMARK.json``; their
+loads are in ``workloads.py``.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ def main(argv=None) -> int:
     if not (ROOT / "src" / "repro").is_dir():
         print(f"program sources not found under {ROOT / 'src'}", file=sys.stderr)
         return 2
-    with open(ROOT / "BENCHMARK.json") as handle:
-        declared = json.load(handle)["per_layer" if args.trace else "end_to_end"]
-    units = {metric["name"]: metric["unit"] for metric in declared}
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
     import workloads as W
+
+    declared = W.DECLARED["per_layer" if args.trace else "end_to_end"]
+    units = {metric["name"]: metric["unit"] for metric in declared}
 
     if args.workload not in W.WORKLOADS:
         print(f"unknown workload {args.workload!r}; one of {sorted(W.WORKLOADS)}", file=sys.stderr)

@@ -34,7 +34,8 @@ class SpanTable:
         self.counts: Dict[str, float] = defaultdict(float)
         #: Sampled durations (queue waits, loop lag), in seconds.
         self.samples: Dict[str, List[float]] = defaultdict(list)
-        self._stack: List[List[float]] = []
+        #: One ``[child_seconds, name]`` frame per open span.
+        self._stack: List[list] = []
         self._originals: List[Tuple[object, str, object]] = []
 
     def reset(self) -> None:
@@ -54,12 +55,16 @@ class SpanTable:
         name: str,
         before: Optional[Callable[..., None]] = None,
         after: Optional[Callable[..., None]] = None,
+        part_of: Optional[str] = None,
     ) -> None:
         """Time every call of ``owner.attr`` under the span ``name``.
 
         ``before(*args)`` runs outside the span, ahead of the call (for a
         check that must see the state the call changes); ``after(result,
-        *args)`` runs outside the span once the call returned.
+        *args)`` runs outside the span once the call returned.  A call made
+        while the innermost open span is ``part_of`` is no span of its own:
+        it is not counted and its time stays that span's self time (a
+        verification that signs to compare is verification work).
         """
         original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         clock = time.perf_counter
@@ -69,9 +74,11 @@ class SpanTable:
         total_s = self.total_s
 
         def timed(*args, **kwargs):
+            if part_of is not None and stack and stack[-1][1] == part_of:
+                return original(*args, **kwargs)
             if before is not None:
                 before(*args, **kwargs)
-            frame = [0.0]
+            frame = [0.0, name]
             stack.append(frame)
             start = clock()
             try:

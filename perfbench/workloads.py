@@ -1,17 +1,24 @@
-"""The benchmark's workloads, why each exists, and the one live config.
+"""The load behind each workload ``BENCHMARK.json`` declares, and the one live config.
 
-Every figure a later change is judged by comes from one of the three
-workloads below.  Each stresses a different set of layers, so a change to
-one layer has a workload that exercises it and one that bypasses it (on
-which the prediction is no change).
+Every figure a later change is judged by comes from one of the workloads.
+Each stresses a different set of layers, so a change to one layer has a
+workload that exercises it and one that bypasses it (on which the
+prediction is no change); why each exists is declared with its name in
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict
 
 from repro.core.config import ISSConfig, PROTOCOL_PBFT
+
+#: The benchmark's declaration: workload names and why each exists, metric
+#: names, units and bounds.  Nothing here restates it.
+DECLARED = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -21,49 +28,21 @@ class Workload:
     name: str
     backend: str  # "sim" or "live"
     why: str
-    #: Open-loop offered rate (requests or ops per second); 0 = closed loop.
-    rate: float = 0.0
-    #: Closed loop: operations each client keeps in flight.
-    in_flight_per_client: int = 0
+    #: Open-loop offered rate (requests or ops per second).
+    rate: float
     #: Share of linearizable gets among live operations.
     get_share: float = 0.0
 
 
+#: The load of each declared workload.
+_LOADS: Dict[str, Dict[str, object]] = {
+    "sim-pbft-16": dict(backend="sim", rate=1800.0),
+    "live-kv-800": dict(backend="live", rate=800.0, get_share=0.1),
+}
+
 WORKLOADS: Dict[str, Workload] = {
-    w.name: w
-    for w in (
-        Workload(
-            name="sim-pbft-16",
-            backend="sim",
-            why=(
-                "Fig. 5 config in the simulator at 0.9 of modelled capacity: CPU goes "
-                "to sim, runtime.wire, core.iss, pbft, validation and crypto; net, "
-                "storage and app.kv do no work"
-            ),
-            rate=1800.0,
-        ),
-        Workload(
-            name="live-kv-800",
-            backend="live",
-            why=(
-                "real 4-process PBFT KV cluster open-loop at 800 ops/s (~0.6x knee): "
-                "net codec/sockets, storage fsync, app.kv and the get path work; sim "
-                "and wire do none"
-            ),
-            rate=800.0,
-            get_share=0.1,
-        ),
-        Workload(
-            name="live-kv-overload",
-            backend="live",
-            why=(
-                "same cluster closed-loop with 4096 puts in flight: exercises client "
-                "retries and transport queues, idle in the other two, and records the "
-                "overload collapse"
-            ),
-            in_flight_per_client=256,
-        ),
-    )
+    w["name"]: Workload(name=w["name"], why=w["why"], **_LOADS[w["name"]])
+    for w in DECLARED["workloads"]
 }
 
 #: Simulated Fig. 5 point: ISS over PBFT with 16 nodes on a 4-region WAN.
