@@ -1,10 +1,10 @@
 """Live runs: a real 4-process PBFT KV cluster and one load generator.
 
-The cluster is :class:`repro.net.deploy.LiveDeployment` with the replica
-entry point swapped for :func:`nodeproc.node_entry`.  The load generator is
-this process: one asyncio loop, one :class:`~repro.net.transport.
-TcpTransport` (one connection per replica) shared by all logical clients,
-no threads.  The seed generates the key and operation sequence; the
+The cluster is :class:`repro.net.deploy.LiveDeployment` with each replica
+a plain child process running ``nodeproc.py`` (:func:`nodeproc.node_entry`)
+and waited for when it stops.  The load generator is this process: one
+asyncio loop, one :class:`~repro.net.transport.TcpTransport` (one
+connection per replica) shared by all logical clients, no threads.  The seed generates the key and operation sequence; the
 cluster receives only the operations.
 
 The load is an open loop: operation *i* is issued at ``start + i / rate``
@@ -26,10 +26,13 @@ import collections
 import glob
 import json
 import os
+import pickle
 import random
 import signal
 import socket
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -49,7 +52,6 @@ from repro.net.deploy import (
 from repro.net.transport import TcpTransport
 
 import workloads as W
-from nodeproc import node_entry
 from simbench import CheckFailed
 from spans import percentile
 
@@ -67,23 +69,69 @@ VICTIM = 1
 CATCHUP_TIMEOUT_S = 60.0
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+NODE_SCRIPT = os.path.join(HERE, "nodeproc.py")
+#: The replicas import the program and the benchmark's own modules.
+NODE_PYTHONPATH = os.pathsep.join([os.path.join(os.path.dirname(HERE), "src"), HERE])
+
+
+class NodeProcess:
+    """One replica as a direct child process, with the handle LiveDeployment drives.
+
+    Not a ``multiprocessing`` spawn: that also starts multiprocessing's
+    resource-tracker process, which nothing waits for and which outlives
+    the run.  Replica output goes to standard error, so the result line
+    stays the last line of standard output.
+    """
+
+    def __init__(self, args: List[str]):
+        self._popen = subprocess.Popen(
+            [sys.executable, NODE_SCRIPT, str(os.getpid()), *args],
+            stdin=subprocess.DEVNULL,
+            stdout=sys.stderr,
+            env=dict(os.environ, PYTHONPATH=NODE_PYTHONPATH),
+        )
+        self.pid = self._popen.pid
+
+    def is_alive(self) -> bool:
+        return self._popen.poll() is None
+
+    def terminate(self) -> None:
+        self._popen.terminate()
+
+    def kill(self) -> None:
+        self._popen.kill()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        try:
+            self._popen.wait(timeout)
+        except subprocess.TimeoutExpired:
+            pass
+
+
+#: Every cluster this process built; :func:`stop_all` stops what is left.
+_CLUSTERS: List["BenchCluster"] = []
+
+
 class BenchCluster(LiveDeployment):
-    """A :class:`LiveDeployment` whose replicas run :func:`node_entry`."""
+    """A :class:`LiveDeployment` whose replicas are :class:`NodeProcess` children."""
 
     def __init__(self, spec: LiveClusterSpec, traced: bool):
         super().__init__(spec)
         self.traced = traced
         self._incarnations: Dict[int, int] = collections.Counter()
+        self._spec_path = os.path.join(spec.data_dir, "spec.pickle")
+        with open(self._spec_path, "wb") as handle:
+            pickle.dump(spec, handle)
+        _CLUSTERS.append(self)
 
     def _spawn(self, node_id: int) -> None:
         incarnation = self._incarnations[node_id]
         self._incarnations[node_id] += 1
         path = os.path.join(self.spec.data_dir, f"counters-{node_id}-{incarnation}.json")
-        process = self._ctx.Process(
-            target=node_entry, args=(self.spec, node_id, path, self.traced), daemon=True
+        self._procs[node_id] = NodeProcess(
+            [self._spec_path, str(node_id), path, "1" if self.traced else "0"]
         )
-        process.start()
-        self._procs[node_id] = process
 
     def signal_all(self, signum: int) -> None:
         for process in self._procs.values():
@@ -100,6 +148,13 @@ class BenchCluster(LiveDeployment):
             with open(path) as handle:
                 out.append(json.load(handle))
         return out
+
+
+def stop_all() -> None:
+    """Stop every replica of every cluster and wait for each to end."""
+    while _CLUSTERS:
+        _CLUSTERS[-1].stop()
+        _CLUSTERS.pop()
 
 
 def _free_base_port(first: int = 27400) -> int:
@@ -186,6 +241,17 @@ class LoadResult:
     acked: List[Tuple[int, int]] = field(default_factory=list)
     #: rid -> (ok, value) of every f+1-confirmed get.
     gets: Dict[Tuple[int, int], Tuple[bool, Optional[str]]] = field(default_factory=dict)
+
+
+def pooled(results: List[LoadResult]) -> LoadResult:
+    """Several clusters' windows as one: durations, counts and latencies pooled."""
+    return LoadResult(
+        window_s=sum(r.window_s for r in results),
+        latencies=[latency for r in results for latency in r.latencies],
+        completed_in_window=sum(r.completed_in_window for r in results),
+        attempted=sum(r.attempted for r in results),
+        failed=sum(r.failed for r in results),
+    )
 
 
 class LoadGenerator:

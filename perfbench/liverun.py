@@ -1,18 +1,19 @@
 """``live-kv-800``: the real cluster.
 
-Untraced, a run boots the cluster :data:`SETUPS` times (set-up is the
-median boot time; the last cluster is the measured one), drives the
-workload, audits the replicas' files and reports wall figures;
-``req_per_cpu_s`` divides the acknowledged operations by the CPU time the
-four replicas spent in the window.  The ``modelled_*`` figures of a live
-run come from the simulator on the identical ``ISSConfig``
-(``workloads.live_config``) at 800 req/s: the reference the live numbers
-are compared with.
+Untraced, a run measures :data:`MEASURED` fresh clusters one after the
+other, each for its share of ``--seconds``, and pools what the clients saw
+in their windows.  Before each it boots throwaway clusters, so set-up is
+sampled across the whole run.  Each cluster's
+replica files are audited; ``req_per_cpu_s`` divides the acknowledged
+operations by the CPU time the replicas spent in the windows.  The
+``modelled_*`` figures of a live run come from the simulator on the
+identical ``ISSConfig`` (``workloads.live_config``) at 800 req/s: the
+reference the live numbers are compared with.
 
 Traced, it measures the workload twice, on a plain cluster and then on one
 whose replicas run with every layer wrapped; node CPU per acknowledged op
-of the two gives ``trace.overhead_ratio``.  The traced cluster then loses one replica to ``kill -9`` and the restart is timed
-(the recovery tail).
+of the two gives ``trace.overhead_ratio``.  The traced cluster then loses
+one replica to ``kill -9`` and the restart is timed (the recovery tail).
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ from layers import install_protocol, layer_metrics
 from simbench import CheckFailed
 from spans import SpanTable, merge_snapshots, percentile
 
-#: Cluster boots timed as set-up in one untraced run.
-SETUPS = 5
+#: Clusters measured in one run, each loaded for an equal share of
+#: ``--seconds``: two 15 s windows rather than one of 30 s, since latency
+#: grows with the log's length (every checkpoint rewrites the snapshot).
+MEASURED = 2
+#: Cluster boots timed before each measured cluster's load, its own boot
+#: included; the fastest is that cluster's set-up time, as interference
+#: from other work on the host only ever slows a boot down.
+BOOTS_PER_MEASURED = 3
 #: Simulator reference repetitions in one run.
 REFERENCE_REPS = 3
 
@@ -98,33 +105,47 @@ def _reference(seed: int) -> Dict[str, float]:
 
 
 def run(workload, seed: int, seconds: int, traced: bool, run_dir: str) -> Dict[str, object]:
-    reference = _reference(seed)
-    if traced:
-        return _traced(workload, seed, seconds, run_dir, reference)
-    setups = []
-    for boot in range(SETUPS - 1):
-        cluster, setup_s = livebench.start_cluster(os.path.join(run_dir, f"boot{boot}"), False)
-        cluster.stop()
-        setups.append(setup_s)
-    phase = _phase(workload, seed, seconds, os.path.join(run_dir, "measured"), False)
-    setups.append(phase.setup_s)
-    load = phase.load
+    try:
+        reference = _reference(seed)
+        if traced:
+            return _traced(workload, seed, seconds, run_dir, reference)
+        return _untraced(workload, seed, seconds, run_dir, reference)
+    finally:
+        # Every path out, the deadline's included, ends every replica.
+        livebench.stop_all()
+
+
+def _untraced(workload, seed, seconds, run_dir, reference) -> Dict[str, object]:
+    setups, phases = [], []
+    for index in range(MEASURED):
+        boots = []
+        for boot in range(BOOTS_PER_MEASURED - 1):
+            data_dir = os.path.join(run_dir, f"boot{index}.{boot}")
+            cluster, setup_s = livebench.start_cluster(data_dir, False)
+            cluster.stop()
+            boots.append(setup_s)
+        data_dir = os.path.join(run_dir, f"measured{index}")
+        phases.append(_phase(workload, seed, seconds / MEASURED, data_dir, False))
+        boots.append(phases[-1].setup_s)
+        setups.append(min(boots))
+    load = livebench.pooled([phase.load for phase in phases])
     metrics = {
         "setup_s": statistics.median(setups),
-        "req_per_cpu_s": load.completed_in_window / sum(phase.window("cpu_s")),
+        "req_per_cpu_s": load.completed_in_window / sum(sum(p.window("cpu_s")) for p in phases),
         "modelled_tput_rps": reference["modelled_tput_rps"],
         "modelled_p50_s": reference["modelled_p50_s"],
         "modelled_p99_s": reference["modelled_p99_s"],
         "completed_frac": 1.0 - load.failed / load.attempted,
-        "peak_rss_mb": sum(c["peak_rss_kb"] for c in phase.counters) / 1024.0,
+        "peak_rss_mb": max(sum(c["peak_rss_kb"] for c in p.counters) for p in phases) / 1024.0,
     }
     metrics.update(livebench.latency_metrics(load))
     return {"metrics": metrics, "attempted": load.attempted, "failed": load.failed}
 
 
 def _traced(workload, seed, seconds, run_dir, reference) -> Dict[str, object]:
-    plain = _phase(workload, seed, seconds, os.path.join(run_dir, "plain"), False)
-    traced = _phase(workload, seed, seconds, os.path.join(run_dir, "traced"), True, tail=True)
+    window = seconds / MEASURED
+    plain = _phase(workload, seed, window, os.path.join(run_dir, "plain"), False)
+    traced = _phase(workload, seed, window, os.path.join(run_dir, "traced"), True, tail=True)
     load = traced.load
     ops = max(1, load.completed_in_window)
     spans = merge_snapshots([c["window"]["spans"] for c in traced.counters] + [traced.loadgen_spans])

@@ -1,11 +1,12 @@
 """Benchmark-owned entry point of one live replica process.
 
-:func:`node_entry` is the ``multiprocessing`` target the benchmark's
-cluster spawns in place of :func:`repro.net.host.node_main`.  Traced, it
-installs the layer wrappers (and an event-loop lag probe) and keeps a
-reference to the node, transport and storage it builds, for their totals,
-before calling ``node_main``.  Untraced it calls ``node_main`` unchanged and
-reports only the process's CPU time and peak RSS.
+:func:`node_entry` runs in place of :func:`repro.net.host.node_main` in
+each replica the benchmark's cluster starts, as
+``python3 nodeproc.py PARENT_PID SPEC_PICKLE NODE_ID COUNTERS_JSON TRACED``.
+Traced, it installs the layer wrappers (and an event-loop lag probe) and
+keeps a reference to the node, transport and storage it builds, for their
+totals, before calling ``node_main``.  Untraced it calls ``node_main``
+unchanged and reports only the process's CPU time and peak RSS.
 
 The parent marks the measurement window with signals: SIGUSR1 opens it
 (counters reset, CPU and transport/WAL totals noted) and SIGUSR2 closes it
@@ -18,9 +19,12 @@ again; the parent merges the files of all replicas.  A replica killed with
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import json
-import resource
+import os
+import pickle
 import signal
+import sys
 import time
 from typing import Dict, List, Optional
 
@@ -31,7 +35,7 @@ from repro.net.transport import TcpTransport
 from repro.storage.durable import DurableNodeStorage
 
 from layers import install_node, install_protocol
-from spans import SpanTable
+from spans import SpanTable, peak_rss_kb
 
 #: Period of the event-loop lag probe in traced replicas (seconds).
 LAG_PROBE_INTERVAL = 0.01
@@ -84,7 +88,7 @@ class NodeCounters:
         return {
             "window": self.window,
             "spans_total": self.table.snapshot() if self.table is not None else None,
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kb": peak_rss_kb(),
         }
 
 
@@ -133,3 +137,29 @@ def _capture_instances(registry: Dict[str, List]) -> None:
             registry.setdefault(_key, []).append(self)
 
         cls.__init__ = init
+
+
+#: ``prctl`` option: signal this process when its parent exits.
+PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Have the kernel kill this replica if the benchmark exits first (Linux)."""
+    try:
+        ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):
+        pass
+    if os.getppid() != parent_pid:
+        sys.exit(1)
+
+
+def main(argv: List[str]) -> None:
+    parent_pid, spec_path, node_id, counters_path, traced = argv
+    _die_with_parent(int(parent_pid))
+    with open(spec_path, "rb") as handle:
+        spec = pickle.load(handle)
+    node_entry(spec, int(node_id), counters_path, traced == "1")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -3,7 +3,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload live-kv-800 --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload live-kv-800 --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing instrumented;
 ``--trace 1`` repeats the run with timing wrappers on every layer and

@@ -17,6 +17,7 @@ puts every original back, so one process can run traced and untraced.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
@@ -139,3 +140,20 @@ def percentile(values: List[float], q: float) -> float:
     ordered = sorted(values)
     rank = min(len(ordered), max(1, math.ceil(q / 100.0 * len(ordered)))) - 1
     return ordered[rank]
+
+
+def peak_rss_kb() -> int:
+    """This process's own peak resident set size, in KiB.
+
+    Not ``ru_maxrss``: on Linux that also holds the parent's RSS at the
+    fork that started this process, which hides a smaller peak of its own.
+    ``VmHWM`` is the high-water mark of this program's memory alone.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
