@@ -9,19 +9,32 @@ followed by a restart recovers through
 :class:`~repro.storage.recovery.RecoveryManager` from bytes that actually
 survived the process.
 
-On-disk format, chosen for torn-tail robustness rather than speed:
+On-disk format, chosen for torn-tail robustness rather than speed.  Both
+files are sequences of frames, each ``>II`` (payload length, CRC-32 of
+the payload) followed by a pickled payload, read by one parser that stops
+at the first short, CRC-mismatching or unpicklable frame:
 
-* ``wal.log`` — a sequence of frames, each ``>II`` (payload length,
-  CRC-32 of the payload) followed by the pickled
-  :class:`~repro.storage.wal.WalRecord`.  Appends flush and (by default)
-  ``fsync`` before returning, so a commit acknowledged to the protocol is
-  on disk.  A crash mid-append leaves a *torn tail* — a short or
-  CRC-mismatching last frame — which reopen detects, drops, and truncates
-  away; everything before it is intact by construction.
-* ``snapshot.bin`` — one pickled :class:`~repro.storage.snapshot.Snapshot`,
-  replaced atomically (write temp, fsync, ``os.replace``) at each
-  compaction so a crash during snapshotting never corrupts the previous
-  snapshot.
+* ``wal.log`` — one frame per :class:`~repro.storage.wal.WalRecord`.
+  Appends flush and (by default) ``fsync`` before returning, so a commit
+  acknowledged to the protocol is on disk.  A crash mid-append leaves a
+  *torn tail* — a short or CRC-mismatching last frame — which reopen
+  detects, drops, and truncates away; everything before it is intact by
+  construction.  Compaction rewrites the file atomically (temp file,
+  fsync, ``os.replace``).
+* ``snapshot.log`` — one frame per accepted snapshot install, holding
+  ``(epoch, last_sn, certificate, entries)`` where ``entries`` are only the
+  ``(sn, entry, epoch)`` triples above the previous install.  The
+  snapshot is the concatenation of the frames' entries, anchored by the
+  last frame's certificate, so a checkpoint costs one always-fsync'd
+  append of its own entries instead of a rewrite of the whole log prefix.
+  Earlier bytes are never rewritten.
+  Reading also stops at the first frame whose first sequence number is not
+  the number of entries read so far, so a gap can never form.  A crash
+  mid-append leaves the previous snapshot intact, and reopen truncates the
+  torn tail exactly as it does the WAL's.
+
+Creating either file fsyncs the data directory, so a crash cannot lose
+the directory entry of a file whose contents were already fsync'd.
 
 The fsync policy is configurable (``REPRO_FSYNC``): ``"always"`` syncs on
 every append (the durability the recovery proof needs), ``"never"`` leaves
@@ -36,13 +49,15 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
+from ..core.types import EpochNr, LogEntry, SeqNr
 from .node_storage import NodeStorage
 from .snapshot import Snapshot, SnapshotStore
 from .wal import WalRecord, WriteAheadLog
 
-#: Frame header of one WAL record: payload length, CRC-32 of the payload.
+#: Frame header of one WAL record or snapshot delta: payload length,
+#: CRC-32 of the payload.
 _FRAME_HEADER = struct.Struct(">II")
 
 #: Recognised fsync policies (see :func:`fsync_policy`).
@@ -52,7 +67,7 @@ FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_NEVER)
 
 #: File names inside one node's data directory.
 WAL_FILENAME = "wal.log"
-SNAPSHOT_FILENAME = "snapshot.bin"
+SNAPSHOT_FILENAME = "snapshot.log"
 
 
 def fsync_policy(default: str = FSYNC_ALWAYS) -> str:
@@ -65,10 +80,44 @@ def fsync_policy(default: str = FSYNC_ALWAYS) -> str:
     return raw if raw in FSYNC_POLICIES else default
 
 
-def _frame(record: WalRecord) -> bytes:
-    """Serialise one WAL record into its on-disk frame."""
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+def _frame(payload: object) -> bytes:
+    """Serialise one WAL record or snapshot delta into its on-disk frame."""
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return _FRAME_HEADER.pack(len(data), zlib.crc32(data)) + data
+
+
+def _read_frames(path: Path) -> Tuple[List[Tuple[object, int]], int]:
+    """Read the intact frames at the head of ``path``.
+
+    Returns ``(frames, size)``: one ``(payload, end)`` pair per intact
+    frame in file order, ``end`` being the file offset just past it, and
+    the number of bytes read.  Reading stops at the first short frame, CRC
+    mismatch or unpicklable payload — all the shapes a crash mid-append
+    can leave — so any bytes past the last ``end`` are a torn tail.  Purely
+    a reader: the file is not modified, so it is safe to call on a file
+    another process is still appending to.
+    """
+    frames: List[Tuple[object, int]] = []
+    if not path.exists():
+        return frames, 0
+    data = path.read_bytes()
+    total = len(data)
+    offset = 0
+    while offset + _FRAME_HEADER.size <= total:
+        length, crc = _FRAME_HEADER.unpack_from(data, offset)
+        start = offset + _FRAME_HEADER.size
+        end = start + length
+        if end > total:
+            break
+        payload = data[start:end]
+        if zlib.crc32(payload) != crc:
+            break
+        try:
+            frames.append((pickle.loads(payload), end))
+        except Exception:
+            break
+        offset = end
+    return frames, total
 
 
 def read_wal_frames(path: Path) -> Tuple[List[WalRecord], int, bool]:
@@ -76,56 +125,89 @@ def read_wal_frames(path: Path) -> Tuple[List[WalRecord], int, bool]:
 
     Returns ``(records, good_offset, torn)`` where ``good_offset`` is the
     file offset right after the last intact frame and ``torn`` is True when
-    trailing bytes had to be ignored (short frame, CRC mismatch, or an
-    unpicklable payload — all the shapes a crash mid-append can leave).
-    Purely a reader: the file is not modified, so it is safe to call on a
-    WAL another process is still appending to.
+    trailing bytes had to be ignored (see :func:`_read_frames`).
     """
-    records: List[WalRecord] = []
-    offset = 0
-    torn = False
-    if not path.exists():
-        return records, offset, torn
-    data = path.read_bytes()
-    total = len(data)
-    while offset < total:
-        if offset + _FRAME_HEADER.size > total:
-            torn = True
+    frames, size = _read_frames(path)
+    good_offset = frames[-1][1] if frames else 0
+    return [record for record, _end in frames], good_offset, good_offset < size
+
+
+def _continues(frame: object, start: int) -> bool:
+    """Whether ``frame`` is a snapshot delta covering ``[start, last_sn]``.
+
+    A delta must be a ``(epoch, last_sn, certificate, entries)`` tuple whose
+    non-empty ``entries`` carry exactly the sequence numbers ``start``,
+    ``start + 1``, ... ``last_sn`` in order.
+    """
+    if not (isinstance(frame, tuple) and len(frame) == 4):
+        return False
+    _epoch, last_sn, _certificate, entries = frame
+    return (
+        isinstance(entries, tuple)
+        and len(entries) > 0
+        and last_sn == start + len(entries) - 1
+        and all(
+            isinstance(triple, tuple) and len(triple) == 3 and triple[0] == start + i
+            for i, triple in enumerate(entries)
+        )
+    )
+
+
+def _read_snapshot_frames(path: Path) -> Tuple[Optional[Snapshot], int, bool]:
+    """Rebuild the latest snapshot from the delta frames at ``path``.
+
+    Returns ``(snapshot, good_offset, torn)`` like :func:`read_wal_frames`.
+    Besides the frame parser's stops, reading stops at the first delta that
+    does not continue the entries read so far, so the rebuilt snapshot
+    always covers ``[0, last_sn]`` contiguously.
+    """
+    frames, size = _read_frames(path)
+    entries: List[Tuple[SeqNr, LogEntry, EpochNr]] = []
+    head = None
+    good_offset = 0
+    for frame, end in frames:
+        if not _continues(frame, len(entries)):
             break
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > total:
-            torn = True
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            torn = True
-            break
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            torn = True
-            break
-        records.append(record)
-        offset = end
-    return records, offset, torn
+        head = frame
+        entries.extend(frame[3])
+        good_offset = end
+    snapshot = None
+    if head is not None:
+        epoch, last_sn, certificate, _delta = head
+        snapshot = Snapshot(
+            epoch=epoch,
+            last_sn=last_sn,
+            certificate=certificate,
+            entries=tuple(entries),
+        )
+    return snapshot, good_offset, good_offset < size
 
 
 def read_snapshot_file(path: Path) -> Optional[Snapshot]:
     """Load the snapshot at ``path``, or None when absent/unreadable.
 
-    An unreadable snapshot (crash during the very first install, before
-    atomic replacement existed to protect it) degrades to "no snapshot":
-    recovery then replays the WAL alone, which is always a correct prefix.
+    An unreadable first frame (a crash during the very first install)
+    degrades to "no snapshot": recovery then replays the WAL alone, which
+    is always a correct prefix.
     """
-    if not path.exists():
-        return None
-    try:
-        snapshot = pickle.loads(path.read_bytes())
-    except Exception:
-        return None
-    return snapshot if isinstance(snapshot, Snapshot) else None
+    return _read_snapshot_frames(path)[0]
+
+
+def _truncate(path: Path, offset: int) -> None:
+    """Cut a torn tail off ``path`` at ``offset``, durably."""
+    with open(path, "r+b") as fh:
+        fh.truncate(offset)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _open_append(path: Path) -> BinaryIO:
+    """Open ``path`` for appending, fsyncing its directory if this creates it."""
+    created = not path.exists()
+    fh = open(path, "ab")
+    if created:
+        _fsync_dir(path.parent)
+    return fh
 
 
 class FileWriteAheadLog(WriteAheadLog):
@@ -148,13 +230,10 @@ class FileWriteAheadLog(WriteAheadLog):
         records, good_offset, torn = read_wal_frames(self.path)
         if torn:
             self.torn_tail_detected = True
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_offset)
-                fh.flush()
-                os.fsync(fh.fileno())
+            _truncate(self.path, good_offset)
         self._records.extend(records)
         self.appended_total = len(records)
-        self._fh = open(self.path, "ab")
+        self._fh = _open_append(self.path)
 
     def _append(self, record: WalRecord) -> None:
         super()._append(record)
@@ -193,35 +272,47 @@ class FileWriteAheadLog(WriteAheadLog):
 
 
 class FileSnapshotStore(SnapshotStore):
-    """A :class:`SnapshotStore` whose latest snapshot lives in one file.
+    """A :class:`SnapshotStore` persisted as an append-only delta log.
 
-    Installs replace the file atomically (temp + fsync + ``os.replace``),
-    so the store never holds a half-written snapshot; reopening a path
-    loads whatever snapshot the previous process made durable.
+    Each accepted install appends and fsyncs one frame holding only the
+    entries above the previous snapshot, so the store never rewrites
+    earlier bytes and a crash mid-append leaves the previous snapshot
+    intact.  Reopening a path loads whatever snapshot the previous process
+    made durable and truncates a torn tail.
     """
 
     def __init__(self, path: Path):
         super().__init__()
         self.path = Path(path)
-        existing = read_snapshot_file(self.path)
-        if existing is not None:
-            self._latest = existing
+        snapshot, good_offset, torn = _read_snapshot_frames(self.path)
+        if torn:
+            _truncate(self.path, good_offset)
+        self._latest = snapshot
 
     def install(self, snapshot: Snapshot) -> bool:
+        previous = self._latest
         accepted = super().install(snapshot)
         if accepted:
-            tmp = self.path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
+            # A newer snapshot extends the previous one (see
+            # repro.storage.snapshot) and both are contiguous from sn 0, so
+            # only the entries from the previous length on are new.
+            start = len(previous.entries) if previous is not None else 0
+            delta = (
+                snapshot.epoch,
+                snapshot.last_sn,
+                snapshot.certificate,
+                snapshot.entries[start:],
+            )
+            with _open_append(self.path) as fh:
+                fh.write(_frame(delta))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
         return accepted
 
 
 def _fsync_dir(directory: Path) -> None:
-    """fsync a directory so a rename within it is durable (best effort)."""
+    """fsync a directory so a file created or renamed in it is durable
+    (best effort)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:

@@ -4,16 +4,22 @@ These pin the claims the live backend's recovery proof rests on:
 
 * commits are fsync'd before the append returns (``always`` policy),
 * a process reopening the same directory sees exactly what was appended,
-* a torn WAL tail (crash mid-append) is detected and truncated on reopen,
-  with every intact record before it preserved,
-* compaction folds the prefix into an atomically-replaced snapshot file
-  and rewrites the WAL, and a **fresh process** reloads the combined
-  state correctly.
+* a torn WAL or snapshot tail (crash mid-append) is detected and
+  truncated on reopen, with every intact frame before it preserved,
+* compaction appends the checkpoint's delta to an append-only snapshot
+  log, which never admits a gap, and rewrites the WAL, and a **fresh
+  process** reloads the combined state correctly,
+* a writer killed with SIGKILL at random moments leaves a contiguous
+  snapshot covering every checkpoint it reported, and a durable log that
+  is a prefix of what it wrote.
 """
 
 import pickle
+import random
+import select
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -26,7 +32,9 @@ from repro.storage.durable import (
     WAL_FILENAME,
     DurableNodeStorage,
     FileWriteAheadLog,
+    _read_frames,
     fsync_policy,
+    read_snapshot_file,
     read_wal_frames,
 )
 
@@ -45,6 +53,27 @@ def certificate(epoch: int, last_sn: int) -> CheckpointCertificate:
     return CheckpointCertificate(
         epoch=epoch, last_sn=last_sn, log_root=b"root", signatures=()
     )
+
+
+def frame(payload: bytes) -> bytes:
+    """A well-formed on-disk frame (length, CRC-32) around ``payload``."""
+    return (
+        len(payload).to_bytes(4, "big")
+        + zlib.crc32(payload).to_bytes(4, "big")
+        + payload
+    )
+
+
+def durable_state(directory):
+    """``(snapshot sns, WAL commit sns)`` as a fresh open of ``directory`` sees them."""
+    storage = DurableNodeStorage(0, directory)
+    snapshot = storage.latest_snapshot()
+    state = (
+        [sn for sn, _entry, _epoch in snapshot.entries] if snapshot else [],
+        [sn for sn, _entry, _epoch in storage.wal.commits()],
+    )
+    storage.close()
+    return state
 
 
 # ------------------------------------------------------------------ fsync
@@ -121,6 +150,50 @@ def test_torn_tail_truncated_on_reopen(tmp_path, chop):
     third.close()
 
 
+@pytest.mark.parametrize(
+    "filename, survivors",
+    [
+        # What survives the loss of the file's last frame: commit 8 for
+        # the WAL, the delta [4, 7] for the snapshot.
+        (WAL_FILENAME, (list(range(8)), [])),
+        (SNAPSHOT_FILENAME, (list(range(4)), [8])),
+    ],
+    ids=["wal", "snapshot"],
+)
+def test_torn_tail_at_every_offset_truncated_on_reopen(tmp_path, filename, survivors):
+    directory = tmp_path / "node0"
+    storage = DurableNodeStorage(0, directory)
+    for sn in range(9):
+        storage.record_commit(sn, batch(2, sn), epoch=sn // 4)
+        if sn % 4 == 3:
+            storage.record_stable_checkpoint(certificate(sn // 4, sn))
+    snapshot = storage.latest_snapshot()
+    storage.close()
+
+    path = directory / filename
+    data = path.read_bytes()
+    frames, _size = _read_frames(path)
+    last_start = frames[-2][1]
+    # Simulate a crash at every point inside the last frame's append.
+    for cut in range(last_start + 1, len(data)):
+        path.write_bytes(data[:cut])
+        assert durable_state(directory) == survivors
+        # The truncation is durable: the file ends at the last intact frame.
+        assert path.stat().st_size == last_start
+
+    # The reopen that truncates a torn tail then appends cleanly after it.
+    path.write_bytes(data[:-1])
+    reopened = DurableNodeStorage(0, directory)
+    if filename == WAL_FILENAME:
+        assert reopened.wal.torn_tail_detected
+        reopened.record_commit(8, batch(2, 8), epoch=2)
+    else:
+        assert reopened.snapshots.install(snapshot)
+    reopened.close()
+    assert path.read_bytes() == data
+    assert durable_state(directory) == (list(range(8)), [8])
+
+
 def test_corrupted_payload_detected_by_crc(tmp_path):
     path = tmp_path / WAL_FILENAME
     wal = FileWriteAheadLog(path)
@@ -142,14 +215,8 @@ def test_unpicklable_tail_is_torn(tmp_path):
     wal.append_commit(0, batch(4, 0), epoch=0)
     wal.close()
     # A frame whose CRC is fine but whose payload is not a WalRecord pickle.
-    payload = b"not a pickle"
-    frame = (
-        len(payload).to_bytes(4, "big")
-        + zlib.crc32(payload).to_bytes(4, "big")
-        + payload
-    )
     with open(path, "ab") as fh:
-        fh.write(frame)
+        fh.write(frame(b"not a pickle"))
     records, _offset, torn = read_wal_frames(path)
     assert torn and len(records) == 1
 
@@ -195,6 +262,50 @@ def test_half_written_snapshot_degrades_to_wal_only(tmp_path):
     reloaded.close()
 
 
+@pytest.mark.parametrize("first_sn", [2, 3, 5])
+def test_snapshot_delta_that_does_not_continue_is_refused(tmp_path, first_sn):
+    directory = tmp_path / "node0"
+    storage = DurableNodeStorage(0, directory)
+    for sn in range(4):
+        storage.record_commit(sn, batch(9, sn), epoch=0)
+    storage.record_stable_checkpoint(certificate(0, 3))
+    storage.close()
+    path = directory / SNAPSHOT_FILENAME
+    intact = path.stat().st_size
+    # A well-framed delta for [first_sn, first_sn + 3] on a snapshot whose
+    # last_sn is 3: it overlaps (2, 3) or leaves a gap (5), never continues.
+    entries = tuple((sn, batch(9, sn), 1) for sn in range(first_sn, first_sn + 4))
+    delta = (1, first_sn + 3, certificate(1, first_sn + 3), entries)
+    with open(path, "ab") as fh:
+        fh.write(frame(pickle.dumps(delta)))
+
+    assert read_snapshot_file(path).last_sn == 3
+    assert durable_state(directory) == (list(range(4)), [])
+    assert path.stat().st_size == intact
+
+
+def test_each_install_appends_one_delta_frame(tmp_path):
+    storage = DurableNodeStorage(0, tmp_path / "node0")
+    path = tmp_path / "node0" / SNAPSHOT_FILENAME
+    before = b""
+    for epoch in range(4):
+        sns = list(range(8 * epoch, 8 * epoch + 8))
+        for sn in sns:
+            storage.record_commit(sn, batch(10, sn), epoch=epoch)
+        storage.record_stable_checkpoint(certificate(epoch, sns[-1]))
+        after = path.read_bytes()
+        # Earlier bytes are never rewritten; the growth is exactly one
+        # frame, holding this epoch's entries and not the prefix below.
+        assert after.startswith(before)
+        growth = after[len(before):]
+        assert len(growth) == 8 + int.from_bytes(growth[:4], "big")
+        _epoch, last_sn, _certificate, entries = pickle.loads(growth[8:])
+        assert last_sn == sns[-1]
+        assert [sn for sn, _entry, _epoch in entries] == sns
+        before = after
+    storage.close()
+
+
 def test_fresh_process_reloads_snapshot_and_wal(tmp_path):
     storage = DurableNodeStorage(0, tmp_path / "node0")
     _fill_storage(storage)
@@ -223,3 +334,67 @@ def test_pickled_frames_round_trip_exact_records(tmp_path):
     assert records[0].sn == 0
     assert records[0].epoch == 2
     assert pickle.dumps(records[0].entry) == pickle.dumps(entry)
+
+
+# ---------------------------------------------------------------- kill -9
+#: Commits and checkpoints forever on the directory in argv[1], continuing
+#: from whatever survived; prints each checkpoint's last_sn once it is
+#: installed.  Entry ``sn`` is always the same one-request batch.
+_WRITER = """
+import sys
+from repro.core.types import Batch, CheckpointCertificate, Request, RequestId
+from repro.storage.durable import DurableNodeStorage
+
+EPOCH = 8
+storage = DurableNodeStorage(0, sys.argv[1])
+snapshot = storage.latest_snapshot()
+durable = [sn for sn, _entry, _epoch in storage.wal.commits()]
+sn = max(durable + [snapshot.last_sn if snapshot else -1]) + 1
+print("ready", flush=True)
+while True:
+    rid = RequestId(client=11, timestamp=sn)
+    entry = Batch(requests=(Request(rid=rid, payload=b"x" * 64),))
+    storage.record_commit(sn, entry, epoch=sn // EPOCH)
+    if sn % EPOCH == EPOCH - 1:
+        storage.record_stable_checkpoint(CheckpointCertificate(
+            epoch=sn // EPOCH, last_sn=sn, log_root=b"root", signatures=()))
+        print(sn, flush=True)
+    sn += 1
+"""
+
+
+def test_kill_9_keeps_contiguous_snapshot_and_log_prefix(tmp_path):
+    rng = random.Random(20261017)
+    directory = tmp_path / "node0"
+    reported = -1
+    for _round in range(6):
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(directory)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert select.select([writer.stdout], [], [], 10)[0], "writer hung"
+            assert writer.stdout.readline() == "ready\n"
+            time.sleep(rng.uniform(0.05, 0.4))
+        finally:
+            writer.kill()  # SIGKILL: no cleanup, no flush, no close
+            out, _err = writer.communicate(timeout=10)
+        reported = max([reported] + [int(line) for line in out.split()])
+
+        storage = DurableNodeStorage(0, directory)
+        snapshot = storage.latest_snapshot()
+        assert snapshot is not None
+        assert [sn for sn, _e, _ep in snapshot.entries] == list(
+            range(snapshot.last_sn + 1)
+        )
+        assert snapshot.last_sn >= reported
+        entries = {sn: entry for sn, entry, _ep in snapshot.entries}
+        entries.update({sn: entry for sn, entry, _ep in storage.wal.commits()})
+        assert sorted(entries) == list(range(len(entries)))
+        assert all(
+            entry.requests[0].rid == RequestId(client=11, timestamp=sn)
+            for sn, entry in entries.items()
+        )
+        storage.close()
+    assert reported >= 0
